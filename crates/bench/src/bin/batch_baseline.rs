@@ -32,6 +32,7 @@
 //! (sequential cost) per dataset before timing starts.
 
 use ic_bench::batch::{solve_sequential, to_engine_query};
+use ic_bench::report::{json_escape, median};
 use ic_bench::runner::time_once;
 use ic_core::Aggregation;
 use ic_engine::{Constraint, Engine, PlanStats, Query};
@@ -67,11 +68,6 @@ struct Ttfr {
     /// Draining the whole stream (prefix contract sanity: also
     /// cross-checked bit-for-bit against the batch result).
     stream_total_secs: f64,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// Measures streamed TTFR vs full-batch latency for one query on a
@@ -110,10 +106,6 @@ fn measure_ttfr(engine: &Engine, direction: &'static str, q: Query, runs: usize)
         full_batch_secs: median(&mut full),
         stream_total_secs: median(&mut total),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn render(blocks: &[Block], queries: usize, ticks: usize, threads: usize) -> String {

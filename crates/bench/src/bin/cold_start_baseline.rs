@@ -24,9 +24,10 @@
 //!     --datasets email,youtube,friendster --out BENCH_store.json
 //! ```
 
+use ic_bench::report::{json_escape, median};
 use ic_bench::runner::time_once;
 use ic_core::Aggregation;
-use ic_engine::{Engine, Query};
+use ic_engine::{Engine, OpenOptions, Query};
 use ic_gen::datasets::{by_name, DatasetSpec, Profile};
 use ic_graph::{io, WeightedGraph};
 use std::fmt::Write as _;
@@ -42,11 +43,6 @@ struct Block {
     store_first_query_secs: f64,
     raw_qps: f64,
     store_qps: f64,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// The cold-start probe: top-10 min communities at the dataset's
@@ -71,7 +67,8 @@ fn raw_first_query(edges: &Path, weights: &Path, k: usize) -> f64 {
 /// Store cold start: `Engine::open` → first answer.
 fn store_first_query(store: &Path, k: usize) -> f64 {
     let (t, _) = time_once(|| {
-        let engine = Engine::open_with_threads(store, 1).expect("store opens");
+        let engine = Engine::open_with_options(store, &OpenOptions::default().threads(1))
+            .expect("store opens");
         engine.run_batch(&[probe(k)])
     });
     t
@@ -119,10 +116,6 @@ fn prepare_inputs(spec: &DatasetSpec, dir: &Path) -> (PathBuf, PathBuf, PathBuf,
     let _ = engine.run_batch(&warm);
     engine.persist(&store).expect("persist store");
     (edges, weights, store, wg)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn render(blocks: &[Block], runs: usize) -> String {
@@ -226,7 +219,8 @@ fn main() {
         // Correctness first: the store-opened engine must answer a
         // min/max/sum sweep bit-identically to the raw-built engine.
         let raw_engine = Engine::with_threads(wg.clone(), 1);
-        let opened = Engine::open_with_threads(&store, 1).expect("store opens");
+        let opened = Engine::open_with_options(&store, &OpenOptions::default().threads(1))
+            .expect("store opens");
         let sweep: Vec<Query> = [1usize, 5, 20]
             .iter()
             .flat_map(|&r| {

@@ -19,6 +19,7 @@
 //! ```
 
 use ic_bench::harness::{min_topr, sum_naive, tic_improved};
+use ic_bench::report::json_escape;
 use ic_bench::runner::time_median;
 use ic_bench::workloads::{Workload, DEFAULT_EPSILON, DEFAULT_R};
 use ic_core::algo::{self, oracle, LocalSearchConfig};
@@ -39,10 +40,6 @@ struct Block {
     m: usize,
     k: usize,
     entries: Vec<Entry>,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn render(blocks: &[Block], profile: &str, runs: usize) -> String {

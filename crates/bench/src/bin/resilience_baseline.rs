@@ -30,6 +30,7 @@
 //! `fail_point!` site in these hot loops expands to nothing — the
 //! overhead measured here is purely the deadline checkpoint.
 
+use ic_bench::report::{json_escape, median};
 use ic_bench::runner::time_once;
 use ic_core::algo::{MinMaxEmission, TicEmission};
 use ic_core::Aggregation;
@@ -89,11 +90,6 @@ struct Block {
     tic: OverheadPair,
     full_secs: f64,
     degraded: Vec<DegradedPoint>,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// Median time of `runs` samples of `f` (each sample re-runs the full
@@ -189,13 +185,13 @@ fn warm_batch_overhead(eng: &Engine, k: usize, r: usize, runs: usize) -> Overhea
         .collect();
     let opts = BatchOptions::new();
     // Prime once so snapshot levels and thread pools are warm for both.
-    for res in eng.run_batch_with(&plain, &opts) {
+    for res in eng.run_batch_pinned(&plain, &opts).1 {
         assert!(res.is_ok(), "warm bench queries must be valid");
     }
     let measure = |batch: &[Query]| {
         sample(runs, || {
             eng.clear_result_cache();
-            let answers = eng.run_batch_with(batch, &opts);
+            let answers = eng.run_batch_pinned(batch, &opts).1;
             answers
                 .iter()
                 .map(|res| {
@@ -213,10 +209,6 @@ fn warm_batch_overhead(eng: &Engine, k: usize, r: usize, runs: usize) -> Overhea
         plain_secs,
         armed_secs,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn render(blocks: &[Block], runs: usize) -> String {
@@ -376,7 +368,7 @@ fn main() {
             eng.clear_result_cache();
             let armed = [q.deadline(deadline)];
             let (latency_secs, got) =
-                time_once(|| eng.run_batch_with(&armed, &BatchOptions::default()));
+                time_once(|| eng.run_batch_pinned(&armed, &BatchOptions::default()).1);
             let (status, communities, proven) = match &got[0] {
                 Ok(ans) => match ans.status {
                     AnswerStatus::Complete => {

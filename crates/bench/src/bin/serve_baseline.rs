@@ -28,6 +28,7 @@
 //!     --datasets email --clients 1,4,8 --queries 96 --out BENCH_serve.json
 //! ```
 
+use ic_bench::report::json_escape;
 use ic_engine::{Engine, Query};
 use ic_gen::datasets::{by_name, Profile};
 use ic_gen::workload::{mixed_query_traffic, TrafficProfile};
@@ -65,6 +66,11 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
     sorted_ms[idx.min(sorted_ms.len() - 1)]
+}
+
+/// Worker count for the served engines: every core the host has.
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Splits `queries` into `clients` contiguous slices (the last client
@@ -179,7 +185,7 @@ fn measure_obs_overhead(
     queries: &[Query],
     clients: usize,
 ) -> ObsOverhead {
-    let engine = Arc::new(Engine::new(wg.clone()));
+    let engine = Arc::new(Engine::with_threads(wg.clone(), all_cores()));
     let _ = run_trial(
         Arc::clone(&engine),
         ServeConfig::default(),
@@ -216,10 +222,6 @@ fn measure_obs_overhead(
         disabled_qps,
         overhead_pct: (1.0 - enabled_qps / disabled_qps) * 100.0,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn render(blocks: &[Block], obs: &ObsOverhead) -> String {
@@ -367,14 +369,14 @@ fn main() {
             // Fresh engines per mode: both start with a cold result
             // cache, so neither inherits the other's warm answers.
             let batched = run_trial(
-                Arc::new(Engine::new(wg.clone())),
+                Arc::new(Engine::with_threads(wg.clone(), all_cores())),
                 ServeConfig::default(),
                 &queries,
                 clients,
                 true,
             );
             let per_connection = run_trial(
-                Arc::new(Engine::new(wg.clone())),
+                Arc::new(Engine::with_threads(wg.clone(), all_cores())),
                 ServeConfig {
                     admission_window: Duration::ZERO,
                     ..ServeConfig::default()

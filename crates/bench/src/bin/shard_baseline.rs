@@ -34,6 +34,7 @@
 //!     --assert-mmap-wins
 //! ```
 
+use ic_bench::report::median;
 use ic_bench::runner::time_once;
 use ic_core::Aggregation;
 use ic_engine::{Engine, OpenOptions, Query};
@@ -74,11 +75,6 @@ struct Numbers {
     sharded_qps: f64,
     serve_p50_ms: f64,
     serve_qps: f64,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// The cold-start probe: index-served top-10 min at the smallest

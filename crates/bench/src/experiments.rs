@@ -629,13 +629,14 @@ pub fn ablate_refine(ctx: &Ctx) -> String {
 /// Extension report: ICP-style min index build/query vs online peeling,
 /// and truss-model community shapes.
 pub fn extensions(ctx: &Ctx) -> String {
-    use ic_core::algo::MinCommunityIndex;
+    use ic_core::algo::ExtremumIndex;
+    use ic_core::Extremum;
     let mut out = String::new();
     for w in ctx.workloads() {
         let k = w.spec.default_k.min(w.kmax as usize);
         let mut t = Table::new(["metric", "value"]);
         eprintln!("[extensions] {} k={k}", w.spec.name);
-        let (tb, index) = time_once(|| MinCommunityIndex::build(&w.wg, k));
+        let (tb, index) = time_once(|| ExtremumIndex::build(&w.wg, k, Extremum::Min));
         let (tq, top_idx) = time_median(5, || index.topr(&w.wg, DEFAULT_R).unwrap());
         let (to, top_online) = time_once(|| min_topr(&w.wg, k, DEFAULT_R).unwrap());
         t.row(["communities in index".to_string(), index.len().to_string()]);

@@ -1,4 +1,6 @@
-//! Markdown table rendering for experiment output.
+//! Shared output helpers for the experiments and the baseline bins:
+//! markdown tables, number formatting, JSON string escaping, and the
+//! median.
 
 use std::fmt::Write as _;
 
@@ -81,6 +83,19 @@ pub fn fmt_value(v: f64) -> String {
     }
 }
 
+/// Escapes `\` and `"` for a JSON string literal (the `BENCH_*.json`
+/// writers only embed dataset, solver, and status names).
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// The median of `samples` (sorted in place): the middle element, the
+/// upper middle for an even count. Panics on an empty slice.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,5 +125,17 @@ mod tests {
         assert_eq!(fmt_value(12345.6), "12346");
         assert_eq!(fmt_value(12.345), "12.35");
         assert_eq!(fmt_value(0.000123), "1.230e-4");
+    }
+
+    #[test]
+    fn escapes_json_strings() {
+        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(json_escape("email"), "email");
+    }
+
+    #[test]
+    fn median_takes_the_upper_middle() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
     }
 }

@@ -21,8 +21,7 @@ pub fn time_median<T, F: FnMut() -> T>(runs: usize, mut f: F) -> (f64, T) {
         times.push(t);
         last = Some(out);
     }
-    times.sort_by(f64::total_cmp);
-    (times[times.len() / 2], last.expect("runs >= 1"))
+    (crate::report::median(&mut times), last.expect("runs >= 1"))
 }
 
 #[cfg(test)]

@@ -34,9 +34,6 @@
 //! update starts with an empty extension cache, which is exactly the
 //! staleness story — stale forests are never consulted, and rebuild
 //! lazily per `(k, direction)` on the next query.
-//!
-//! [`MinCommunityIndex`] survives as a thin wrapper over the `min`
-//! direction for pre-PR-5 callers.
 
 use crate::algo::common::{community_from_vertices, validate_k_r};
 use crate::{Aggregation, Community, Extremum, SearchError};
@@ -918,57 +915,6 @@ impl ExtremumIndex {
     }
 }
 
-/// The classic `min`-model index of prior work (ICP-style), kept as a
-/// thin wrapper over the `min` direction of [`ExtremumIndex`].
-#[derive(Clone, Debug)]
-pub struct MinCommunityIndex(ExtremumIndex);
-
-impl MinCommunityIndex {
-    /// Builds the index with one peel + one reverse union-find pass.
-    pub fn build(wg: &WeightedGraph, k: usize) -> Self {
-        MinCommunityIndex(ExtremumIndex::build(wg, k, Extremum::Min))
-    }
-
-    /// The degree constraint this index was built for.
-    pub fn k(&self) -> usize {
-        self.0.k()
-    }
-
-    /// Total number of maximal communities in the graph.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the k-core is empty (no communities exist).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Answers a top-r query in output-sensitive time. Results are
-    /// identical to the routed `min` peel (`Query::solve`) on the same
-    /// graph.
-    pub fn topr(&self, wg: &WeightedGraph, r: usize) -> Result<Vec<Community>, SearchError> {
-        self.0.topr(wg, r)
-    }
-
-    /// The smallest community containing `v` (None when `v` is outside
-    /// the maximal k-core).
-    pub fn minimal_community_of(&self, wg: &WeightedGraph, v: VertexId) -> Option<Community> {
-        self.0.minimal_community_of(wg, v)
-    }
-
-    /// The nesting chain of communities containing `v`, innermost first,
-    /// as `(value, size)` pairs.
-    pub fn chain_of(&self, v: VertexId) -> Vec<(f64, usize)> {
-        self.0.chain_of(v)
-    }
-
-    /// The min vertex of each indexed community, for diagnostics.
-    pub fn min_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.0.extreme_vertices()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,7 +925,7 @@ mod tests {
     #[test]
     fn index_topr_matches_online_min_on_figure1() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         for r in [1usize, 2, 3, 5, 10] {
             let from_index = idx.topr(&wg, r).unwrap();
             let online = min_topr(&wg, 2, r).unwrap();
@@ -1175,7 +1121,7 @@ mod tests {
         // K4 with distinct weights has exactly 2 maximal min communities.
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.k(), 2);
     }
@@ -1184,7 +1130,7 @@ mod tests {
     fn minimal_community_and_chain() {
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         // Vertex 3 (weight 4) lives innermost in {1,2,3}, then {0,1,2,3}.
         let minimal = idx.minimal_community_of(&wg, 3).unwrap();
         assert_eq!(minimal.vertices, vec![1, 2, 3]);
@@ -1201,7 +1147,7 @@ mod tests {
     fn vertices_outside_core_have_no_community() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0; 4]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert!(idx.minimal_community_of(&wg, 3).is_none());
         assert!(idx.chain_of(3).is_empty());
     }
@@ -1210,7 +1156,7 @@ mod tests {
     fn empty_core_gives_empty_index() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0; 3]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert!(idx.is_empty());
         assert!(idx.topr(&wg, 3).unwrap().is_empty());
     }
@@ -1218,7 +1164,7 @@ mod tests {
     #[test]
     fn chains_are_properly_nested() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         for v in 0..11u32 {
             let chain = idx.chain_of(v);
             // Sizes strictly increase, values non-increase along the chain.
@@ -1241,9 +1187,9 @@ mod tests {
     #[test]
     fn batches_partition_the_core() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         let mut seen = std::collections::HashSet::new();
-        for v in &idx.0.batch_vertices {
+        for v in &idx.batch_vertices {
             assert!(seen.insert(*v), "vertex {v} in two batches");
         }
         assert_eq!(seen.len(), 11); // figure 1's 2-core is the whole graph
@@ -1252,7 +1198,7 @@ mod tests {
     #[test]
     fn rejects_r_zero() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert!(idx.topr(&wg, 0).is_err());
     }
 }

@@ -42,7 +42,7 @@ mod truss;
 pub use bb::{bb_avg_topr, bb_topr};
 pub use exact::{all_communities, exact_naive, exact_topr};
 pub use improved::{tic_improved_on, tic_improved_with_options, ImprovedOptions, TicEmission};
-pub use index::{ExtremumIndex, IndexParts, MinCommunityIndex};
+pub use index::{ExtremumIndex, IndexParts};
 pub use local_search::{
     local_search, local_search_nonoverlapping, run_seed, run_seed_multi, LocalScratch,
     LocalSearchConfig, SeedTarget,

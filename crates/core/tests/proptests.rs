@@ -194,7 +194,7 @@ proptest! {
 
     #[test]
     fn min_index_matches_online_solver(wg in arb_wgraph(14), k in 1usize..4, r in 1usize..5) {
-        let idx = ic_core::algo::MinCommunityIndex::build(&wg, k);
+        let idx = ic_core::algo::ExtremumIndex::build(&wg, k, ic_core::Extremum::Min);
         let from_index = idx.topr(&wg, r).unwrap();
         let online = min_topr(&wg, k, r).unwrap();
         prop_assert_eq!(from_index, online);
@@ -202,7 +202,7 @@ proptest! {
 
     #[test]
     fn min_index_chains_are_nested(wg in arb_wgraph(14), k in 1usize..3) {
-        let idx = ic_core::algo::MinCommunityIndex::build(&wg, k);
+        let idx = ic_core::algo::ExtremumIndex::build(&wg, k, ic_core::Extremum::Min);
         for v in 0..wg.num_vertices() as u32 {
             let chain = idx.chain_of(v);
             for w in chain.windows(2) {

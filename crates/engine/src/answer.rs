@@ -1,8 +1,8 @@
 //! The engine's answer vocabulary: status-tagged results and typed
 //! serving errors.
 //!
-//! [`Engine::run_batch_with`](crate::Engine::run_batch_with) returns
-//! one `Result<QueryAnswer, EngineError>` per query. The `Ok` side
+//! [`Engine::run_batch_pinned`](crate::Engine::run_batch_pinned)
+//! returns one `Result<QueryAnswer, EngineError>` per query. The `Ok` side
 //! carries an [`AnswerStatus`]: `Complete` answers are the familiar
 //! bit-exact solver output, while `Degraded` answers are what a query
 //! deadline buys — the communities the solver had *proven* when time
@@ -131,10 +131,10 @@ impl From<SearchError> for EngineError {
 }
 
 /// Batch-wide serving options for
-/// [`Engine::run_batch_with`](crate::Engine::run_batch_with).
+/// [`Engine::run_batch_pinned`](crate::Engine::run_batch_pinned).
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BatchOptions {
+pub struct BatchOptions<'a> {
     /// A deadline applied to **every** query of the batch, measured from
     /// the batch's [`anchor`](Self::anchor) (serve start unless
     /// overridden). Folded with each query's own
@@ -151,9 +151,15 @@ pub struct BatchOptions {
     /// budget once it finally runs, defeating the deadline's purpose as
     /// an end-to-end latency bound.
     pub anchor: Option<Instant>,
+    /// Where the batch records its stage spans (`plan`, `solve`,
+    /// `index_serve`, and `merge` on scatter-gather backends), outcome
+    /// tags, and plan statistics. `None` (the default) records nothing
+    /// beyond the backend's metrics registry. Tracing never changes an
+    /// answer.
+    pub trace: Option<&'a ic_obs::Trace>,
 }
 
-impl BatchOptions {
+impl<'a> BatchOptions<'a> {
     /// Options with no limits (identical to `run_batch`).
     pub fn new() -> Self {
         Self::default()
@@ -173,6 +179,13 @@ impl BatchOptions {
     /// checkpoint and degrades exactly like any other expiry.
     pub fn deadline_from(mut self, anchor: Instant) -> Self {
         self.anchor = Some(anchor);
+        self
+    }
+
+    /// Records the batch's stage spans, tags, and plan statistics into
+    /// `trace` as it executes (see [`trace`](Self::trace)).
+    pub fn traced(mut self, trace: &'a ic_obs::Trace) -> Self {
+        self.trace = Some(trace);
         self
     }
 }
@@ -203,5 +216,9 @@ mod tests {
         assert!(BatchOptions::default().anchor.is_none());
         let t = Instant::now();
         assert_eq!(BatchOptions::new().deadline_from(t).anchor, Some(t));
+        assert!(BatchOptions::default().trace.is_none());
+        let trace = ic_obs::Trace::new();
+        let o = BatchOptions::new().traced(&trace);
+        assert!(o.trace.is_some_and(|t| std::ptr::eq(t, &trace)));
     }
 }

@@ -19,7 +19,7 @@
 //! them (which also re-queues the key at the back of the eviction
 //! order: a re-warmed entry is the cache's newest, not a leftover at
 //! its original age) or a capacity sweep reclaims them (so
-//! `Engine::cached_results` counts stale entries too). `Engine::apply`
+//! `Engine::cached_results` counts stale entries too). `Engine::try_apply`
 //! therefore never stops the world to clear the cache — old entries
 //! simply stop matching.
 //!

@@ -6,9 +6,8 @@
 //! holds one pooled [`PeelArena`](ic_kcore::PeelArena) for its lifetime
 //! and lazily creates one [`LocalScratch`] the first time it executes a
 //! local-search chunk; both are reused across every job the worker runs.
-//! Completed results flow back to the caller thread over a channel, which
-//! is what makes [`crate::Engine::for_each_result`] stream results in
-//! completion order while the batch is still running.
+//! Completed results flow back to the caller thread over a channel and
+//! are delivered in completion order while the batch is still running.
 //!
 //! # Failure model
 //!
@@ -25,7 +24,7 @@
 //! # Deadlines
 //!
 //! Wall-clock budgets anchor at the `anchor` instant the caller passes
-//! to [`execute`] — serve start for direct `run_batch_with` calls, the
+//! to [`execute`] — serve start for direct `run_batch_pinned` calls, the
 //! *admission* timestamp for queueing front ends like `ic-serve`, so
 //! time spent waiting in an admission queue counts against the budget.
 //! A deadline-armed job checkpoints its [`Budget`] cooperatively; on
@@ -84,8 +83,9 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs a plan against one pinned snapshot. The snapshot and arena pool
-/// are grabbed once by the caller (`Engine::execute`) so a concurrent
-/// `Engine::apply` can never tear a batch across two graph versions.
+/// are grabbed once by the caller (`Engine::run_batch_pinned`) so a
+/// concurrent `Engine::try_apply` can never tear a batch across two
+/// graph versions.
 pub(crate) fn execute<F>(
     snap: &GraphSnapshot,
     arenas: &ArenaPool,

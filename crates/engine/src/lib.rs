@@ -20,12 +20,12 @@
 //!    Any prefix of the stream equals the same-length prefix of
 //!    [`Engine::run_batch`] for that query, bit for bit; dropping the
 //!    stream cancels the remaining work (held by `tests/progressive.rs`).
-//! 3. **Updates** — [`Engine::apply`] feeds [`EdgeUpdate`]s through an
+//! 3. **Updates** — [`Engine::try_apply`] feeds [`EdgeUpdate`]s through an
 //!    incremental [`ic_kcore::CoreMaintainer`] and swaps
 //!    in a fresh immutable snapshot under a new [`Epoch`]. In-flight
 //!    batches and streams keep their snapshot (copy-on-write isolation);
 //!    the epoch-tagged result cache stops serving pre-update answers. A
-//!    post-`apply` engine answers exactly like an engine built from
+//!    post-update engine answers exactly like an engine built from
 //!    scratch on the updated graph (also held by `tests/progressive.rs`).
 //! 4. **Persistence** — [`Engine::persist`] writes the current epoch's
 //!    warm serving state (graph, decomposition, memoized core levels,
@@ -33,10 +33,10 @@
 //!    [`Engine::open`] warm-starts from one: the zero-rebuild cold
 //!    start. Exact-tie `min`/`max` queries are **index-served** from
 //!    the forest in output-sensitive time — persisted or built once per
-//!    snapshot — and a post-`apply` snapshot starts with empty caches,
+//!    snapshot — and a post-update snapshot starts with empty caches,
 //!    so persisted structures are never consulted across an update
 //!    (they rebuild lazily per level under the new epoch).
-//! 5. **Resilience** — [`Engine::run_batch_with`] takes
+//! 5. **Resilience** — [`Engine::run_batch_pinned`] takes
 //!    [`BatchOptions`] with a batch-wide deadline, and every
 //!    [`Query`] can carry its own (`Query::deadline`); on expiry the
 //!    exact solver paths return the already-**proven** rank prefix
@@ -72,7 +72,7 @@
 //!
 //! // Mutable: delete an edge, re-query under the new epoch.
 //! let before = engine.epoch();
-//! let epoch = engine.apply(&[EdgeUpdate::Remove { u: 0, v: 1 }]);
+//! let epoch = engine.try_apply(&[EdgeUpdate::Remove { u: 0, v: 1 }]).unwrap();
 //! assert!(epoch > before);
 //! ```
 
@@ -108,6 +108,8 @@ pub use ic_store::StoreError;
 pub trait QueryBackend: Send + Sync {
     /// Executes a batch under `options`, returning the serving epoch
     /// and one status-tagged result per query, aligned with input order.
+    /// A wrapper backend forwards `options` unchanged, so the trace in
+    /// [`BatchOptions::trace`] reaches the engine that does the work.
     fn run_batch_pinned(
         &self,
         queries: &[Query],
@@ -126,23 +128,6 @@ pub trait QueryBackend: Send + Sync {
         Err(EngineError::Unsupported {
             detail: "this backend does not support edge updates".into(),
         })
-    }
-
-    /// [`QueryBackend::run_batch_pinned`] that additionally records
-    /// stage spans (`plan`, `solve`, `index_serve`, `merge`), outcome
-    /// tags, and plan statistics into `trace` as the batch executes.
-    ///
-    /// The default ignores the trace and delegates — tracing is
-    /// strictly additive, so opaque backends keep working untraced.
-    /// [`Engine`] (and `ic-shard`'s `ShardedEngine`) override it.
-    fn run_batch_traced(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        let _ = trace;
-        self.run_batch_pinned(queries, options)
     }
 
     /// The backend's metrics registry, if it keeps one. Serving layers
@@ -166,21 +151,12 @@ impl QueryBackend for Engine {
         self.try_apply(updates)
     }
 
-    fn run_batch_traced(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        Engine::run_batch_traced(self, queries, options, trace)
-    }
-
     fn obs_registry(&self) -> Option<&ic_obs::Registry> {
         Some(&self.metrics.registry)
     }
 }
 
-/// Everything [`Engine::apply_journaled`] learned while applying a
+/// Everything [`Engine::try_apply_journaled`] learned while applying a
 /// batch of updates: the epoch now serving, the per-update cascade
 /// journal, and both snapshot handles. This is the contract the
 /// standing-query layer (`ic-sub`) consumes — the journal's
@@ -283,7 +259,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// A monotone version counter for the engine's graph: every successful
-/// [`Engine::apply`] that changes the edge set moves the engine to a new
+/// [`Engine::try_apply`] that changes the edge set moves the engine to a new
 /// epoch. Results, streams, and cache entries are tagged with the epoch
 /// they were computed under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -303,7 +279,7 @@ impl std::fmt::Display for Epoch {
 }
 
 /// The swappable, immutable serving state: everything a batch or stream
-/// needs, grabbed once per operation so concurrent [`Engine::apply`]
+/// needs, grabbed once per operation so concurrent [`Engine::try_apply`]
 /// calls never tear a computation across two graph versions.
 struct Serving {
     snapshot: Arc<GraphSnapshot>,
@@ -368,7 +344,7 @@ impl EngineMetrics {
 pub struct Engine {
     serving: RwLock<Serving>,
     /// Incremental core-number maintainer, seeded lazily on the first
-    /// [`Engine::apply`]; guarded separately so updates serialize
+    /// [`Engine::try_apply`]; guarded separately so updates serialize
     /// without blocking read traffic.
     maintainer: Mutex<Option<CoreMaintainer>>,
     threads: usize,
@@ -382,14 +358,6 @@ pub struct Engine {
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 impl Engine {
-    /// Builds an engine using all available hardware parallelism.
-    pub fn new(wg: WeightedGraph) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::with_threads(wg, threads)
-    }
-
     /// Builds an engine with an explicit worker count (`>= 1`; clamped).
     pub fn with_threads(wg: WeightedGraph, threads: usize) -> Self {
         Self::from_snapshot(GraphSnapshot::new(wg), threads)
@@ -404,24 +372,12 @@ impl Engine {
     /// milliseconds. Answers are bit-identical to an engine built from
     /// scratch on the same graph (held by the store round-trip suite).
     pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Engine, StoreError> {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::open_with_threads(path, threads)
-    }
-
-    /// [`Engine::open`] with an explicit worker count.
-    pub fn open_with_threads<P: AsRef<std::path::Path>>(
-        path: P,
-        threads: usize,
-    ) -> Result<Engine, StoreError> {
-        Self::open_with_options(path, &OpenOptions::default().threads(threads))
+        Self::open_with_options(path, &OpenOptions::default())
     }
 
     /// [`Engine::open`] with full control over worker count, the store
     /// read retry policy, and mapped-vs-owned backing (see
-    /// [`OpenOptions`]). This is the primitive the other `open`
-    /// variants delegate to.
+    /// [`OpenOptions`]).
     pub fn open_with_options<P: AsRef<std::path::Path>>(
         path: P,
         options: &OpenOptions,
@@ -440,7 +396,7 @@ impl Engine {
     /// traffic). A later [`Engine::open`] on the file warm-starts
     /// exactly that state.
     ///
-    /// Called after [`Engine::apply`], this persists the *post-update*
+    /// Called after [`Engine::try_apply`], this persists the *post-update*
     /// graph under its freshly-(re)derived structures — persisted
     /// artifacts are always internally consistent, never a mix of
     /// epochs, because everything is read off one immutable snapshot.
@@ -479,17 +435,17 @@ impl Engine {
 
     /// The engine's metrics registry (`engine.*` names): batch/plan
     /// counters, plan/solve latency histograms, cache/arena/epoch
-    /// gauges, and the [`Engine::apply`] cascade-cost metrics.
+    /// gauges, and the [`Engine::try_apply`] cascade-cost metrics.
     pub fn obs_registry(&self) -> &ic_obs::Registry {
         &self.metrics.registry
     }
 
     fn serving(&self) -> (Arc<GraphSnapshot>, Arc<ArenaPool>, Epoch) {
         // The serving state is only ever *replaced whole* (one struct
-        // assignment under the write lock in `apply`), so a poisoned
-        // lock still guards a consistent value: recover and keep
-        // serving rather than cascading one panicked thread into total
-        // engine failure.
+        // assignment under the write lock in `try_apply_journaled`), so
+        // a poisoned lock still guards a consistent value: recover and
+        // keep serving rather than cascading one panicked thread into
+        // total engine failure.
         let s = self.serving.read().unwrap_or_else(|e| e.into_inner());
         (Arc::clone(&s.snapshot), Arc::clone(&s.arenas), s.epoch)
     }
@@ -497,7 +453,7 @@ impl Engine {
     /// Distinct query results currently memoized across batches (current
     /// epoch and stale entries awaiting lazy eviction). The snapshot is
     /// immutable per epoch and the solvers deterministic, so a hit is
-    /// bit-identical to re-solving; [`Engine::apply`] moves the engine
+    /// bit-identical to re-solving; [`Engine::try_apply`] moves the engine
     /// to a new epoch, which invalidates every older entry.
     pub fn cached_results(&self) -> usize {
         self.results.len()
@@ -509,7 +465,7 @@ impl Engine {
     }
 
     /// The engine's current shared snapshot. Streams and batches created
-    /// before a subsequent [`Engine::apply`] keep the snapshot they
+    /// before a subsequent [`Engine::try_apply`] keep the snapshot they
     /// started with.
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
         self.serving().0
@@ -527,7 +483,7 @@ impl Engine {
 
     /// Peel arenas constructed so far by the current epoch's pool
     /// (steady-state traffic keeps this at the worker count — arenas
-    /// are pooled across batches; [`Engine::apply`] starts a fresh pool
+    /// are pooled across batches; [`Engine::try_apply`] starts a fresh pool
     /// sized for the updated graph).
     pub fn arenas_created(&self) -> usize {
         self.serving().1.created()
@@ -552,7 +508,7 @@ impl Engine {
     /// Plans a batch without executing it: validation, cache lookups,
     /// immediate answers, dedup, family merging, and job ordering.
     /// Exposed for stats introspection ([`PlanStats`]) and testing;
-    /// `run_batch` and `for_each_result` plan internally. Planning only
+    /// the batch entry points plan internally. Planning only
     /// reads the result cache, it never populates it.
     pub fn plan(&self, queries: &[Query]) -> Plan {
         let (snapshot, _, epoch) = self.serving();
@@ -567,15 +523,16 @@ impl Engine {
     /// Executes a batch and returns one result per query, aligned with
     /// the input order. Duplicate queries are answered by one solver run.
     ///
-    /// This is the legacy plain surface: it flattens the richer
-    /// [`run_batch_with`](Self::run_batch_with) answers — a
+    /// This is the plain surface: it flattens the richer
+    /// [`run_batch_pinned`](Self::run_batch_pinned) answers — a
     /// deadline-degraded answer yields its communities with the status
     /// dropped, [`EngineError::DeadlineExceeded`] maps to
     /// [`SearchError::DeadlineExceeded`], and an isolated solver panic
     /// maps to [`SearchError::Internal`]. Callers that care about
-    /// completeness should use `run_batch_with`.
+    /// completeness or the serving epoch should use `run_batch_pinned`.
     pub fn run_batch(&self, queries: &[Query]) -> Vec<Result<Vec<Community>, SearchError>> {
-        self.run_batch_with(queries, &BatchOptions::default())
+        self.run_batch_pinned(queries, &BatchOptions::default())
+            .1
             .into_iter()
             .map(|res| match res {
                 Ok(ans) => Ok(ans.communities),
@@ -587,12 +544,22 @@ impl Engine {
             .collect()
     }
 
-    /// Executes a batch under [`BatchOptions`] and returns one
-    /// status-tagged result per query, aligned with the input order.
+    /// Executes a batch under [`BatchOptions`] and returns the [`Epoch`]
+    /// it was served under plus one status-tagged result per query,
+    /// aligned with the input order. Duplicate queries are answered by
+    /// one solver run.
+    ///
+    /// The whole batch runs against **one** immutable snapshot grabbed
+    /// at entry — a concurrent [`Engine::try_apply`] never tears a batch
+    /// across graph versions — and the returned epoch identifies it.
+    /// Serving front ends (`ic-serve`) tag every response with this
+    /// epoch so clients can correlate in-flight answers with graph
+    /// versions.
     ///
     /// The batch-wide deadline (if any) is folded into each query's own
     /// [`Query::deadline`] — the tighter of the two wins — *before*
-    /// planning, and the clock starts when execution starts. On expiry:
+    /// planning, and the clock starts when execution starts (or at
+    /// [`BatchOptions::anchor`]). On expiry:
     ///
     /// * exact paths (`min`/`max` peels, exact `TIC-IMPROVED`) return
     ///   the already-proven rank prefix tagged
@@ -606,79 +573,107 @@ impl Engine {
     /// A solver panic is isolated to its query (reported as
     /// [`EngineError::Internal`]); the rest of the batch completes
     /// normally. Degraded and failed results are never cached.
-    pub fn run_batch_with(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-    ) -> Vec<Result<QueryAnswer, EngineError>> {
-        self.run_batch_pinned(queries, options).1
-    }
-
-    /// [`run_batch_with`](Self::run_batch_with), also reporting the
-    /// [`Epoch`] the batch was served under. The whole batch runs
-    /// against **one** immutable snapshot grabbed at entry — a
-    /// concurrent [`Engine::apply`] never tears a batch across graph
-    /// versions — and the returned epoch identifies it. Serving front
-    /// ends (`ic-serve`) tag every response with this epoch so clients
-    /// can correlate in-flight answers with graph versions.
+    ///
+    /// With [`BatchOptions::trace`] set, the batch also records its
+    /// stage spans (`plan`, `solve`, `index_serve`), outcome tags, and
+    /// plan statistics there — the hook serving layers use to explain
+    /// slow queries.
     pub fn run_batch_pinned(
         &self,
         queries: &[Query],
         options: &BatchOptions,
     ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.collect_batch(queries, options, None)
-    }
-
-    /// [`run_batch_pinned`](Self::run_batch_pinned) that additionally
-    /// records stage spans (`plan`, `solve`, `index_serve`), outcome
-    /// tags, and plan statistics into `trace` as the batch executes —
-    /// the hook serving layers use to explain slow queries. Tracing
-    /// never changes an answer.
-    pub fn run_batch_traced(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.collect_batch(queries, options, Some(trace))
-    }
-
-    fn collect_batch(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: Option<&ic_obs::Trace>,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
+        let (snapshot, arenas, epoch) = self.serving();
+        let trace = options.trace;
+        // Deadlines measure from the options' anchor when one is set
+        // (admission-anchored serving layers), from serve start
+        // otherwise.
+        let anchor = options.anchor.unwrap_or_else(std::time::Instant::now);
+        // Fold the batch-wide deadline into each query (the tighter of
+        // the two wins) *before* planning, so job dedup and family
+        // merging see the effective deadlines.
+        let effective: std::borrow::Cow<'_, [Query]> = match options.deadline {
+            None => std::borrow::Cow::Borrowed(queries),
+            Some(batch_d) => std::borrow::Cow::Owned(
+                queries
+                    .iter()
+                    .map(|q| {
+                        let mut q = *q;
+                        q.deadline = Some(q.deadline.map_or(batch_d, |d| d.min(batch_d)));
+                        q
+                    })
+                    .collect(),
+            ),
+        };
+        let plan_sw = ic_obs::Stopwatch::start();
+        let plan = Plan::build(
+            &snapshot,
+            &effective,
+            self.threads,
+            Some((&self.results, epoch)),
+        );
+        let m = &self.metrics;
+        plan_sw.observe(&m.plan_ns);
+        m.batches.inc();
+        m.queries.add(plan.stats.total_queries as u64);
+        m.cache_hits.add(plan.stats.cache_hits as u64);
+        m.index_routed.add(plan.stats.index_routed as u64);
+        m.solver_runs.add(plan.stats.solver_runs as u64);
+        m.answered_at_plan.add(plan.stats.answered_at_plan as u64);
+        if let Some(trace) = trace {
+            plan_sw.record(trace, ic_obs::Stage::Plan);
+            trace.note_plan(ic_obs::TracePlan {
+                queries: plan.stats.total_queries as u64,
+                answered_at_plan: plan.stats.answered_at_plan as u64,
+                cache_hits: plan.stats.cache_hits as u64,
+                solver_runs: plan.stats.solver_runs as u64,
+                index_routed: plan.stats.index_routed as u64,
+            });
+            if plan.stats.solver_runs < plan.stats.sequential_runs {
+                trace.tag(ic_obs::Tag::FamilyMerged);
+            }
+        }
+        let solve_sw = ic_obs::Stopwatch::start();
         let mut results: Vec<Option<cache::Outcome>> = vec![None; queries.len()];
-        let epoch = self.execute_with(queries, options, trace, |idx, res| {
-            results[idx] = Some(res);
-        });
+        exec::execute(
+            &snapshot,
+            &arenas,
+            self.threads,
+            anchor,
+            plan,
+            trace,
+            |idx, outcome| {
+                if let Some(trace) = trace {
+                    match outcome.as_ref() {
+                        Ok(ans) => {
+                            if !matches!(ans.status, AnswerStatus::Complete) {
+                                trace.tag(ic_obs::Tag::Degraded);
+                            }
+                        }
+                        Err(EngineError::DeadlineExceeded) => {
+                            trace.tag(ic_obs::Tag::DeadlineExceeded);
+                        }
+                        Err(_) => {}
+                    }
+                }
+                // Only complete answers are retained (the insert filters).
+                self.results.insert(&effective[idx], epoch, &outcome);
+                results[idx] = Some(outcome);
+            },
+        );
+        if let Some(trace) = trace {
+            solve_sw.record(trace, ic_obs::Stage::Solve);
+        }
+        solve_sw.observe(&m.solve_ns);
+        m.cached_results.set(self.results.len() as i64);
+        m.arenas_available.set(arenas.available() as i64);
+        m.arenas_quarantined.set(arenas.quarantined() as i64);
+        m.epoch.set(epoch.0 as i64);
         let answers = results
             .into_iter()
             .map(|slot| (*slot.expect("every query is answered exactly once")).clone())
             .collect();
         (epoch, answers)
-    }
-
-    /// Streaming variant of [`run_batch_with`](Self::run_batch_with):
-    /// invokes the callback once per query, on the calling thread, as
-    /// results complete (completion order, not input order). Useful for
-    /// serving loops that forward answers as soon as they are ready.
-    /// For *within-query* streaming — communities of one query in rank
-    /// order — use [`Engine::submit`].
-    pub fn for_each_result<F>(&self, queries: &[Query], mut f: F)
-    where
-        F: FnMut(usize, Result<&QueryAnswer, &EngineError>),
-    {
-        self.execute_with(
-            queries,
-            &BatchOptions::default(),
-            None,
-            |idx, res| match res.as_ref() {
-                Ok(ans) => f(idx, Ok(ans)),
-                Err(e) => f(idx, Err(e)),
-            },
-        );
     }
 
     /// Opens a progressive session for one query: validates and routes
@@ -701,7 +696,7 @@ impl Engine {
     ///   *fully drained* stream memoizes its answer there (a cancelled
     ///   stream caches nothing — it never computed the full answer).
     /// * **Isolation** — the stream pins the snapshot current at
-    ///   `submit` time; a later [`Engine::apply`] does not affect it.
+    ///   `submit` time; a later [`Engine::try_apply`] does not affect it.
     ///
     /// Invalid queries fail here, at submit time.
     pub fn submit(&self, query: Query) -> Result<ResultStream, SearchError> {
@@ -737,7 +732,21 @@ impl Engine {
     /// Applies a batch of edge updates and swaps in a new snapshot under
     /// a new [`Epoch`] (returned). Returns the unchanged current epoch
     /// when no update changes the edge set (duplicate inserts, absent
-    /// removes).
+    /// removes). This is [`Engine::try_apply_journaled`] without the
+    /// journal; see there for the full contract.
+    pub fn try_apply(&self, updates: &[EdgeUpdate]) -> Result<Epoch, EngineError> {
+        Ok(self.try_apply_journaled(updates)?.epoch)
+    }
+
+    /// Applies a batch of edge updates, returning the epoch now serving
+    /// together with the cascade journal and both snapshot handles (see
+    /// [`ApplyOutcome`]).
+    ///
+    /// Every update's endpoints are validated against the serving
+    /// vertex set first: an out-of-range id or a self-loop returns
+    /// [`EngineError::Unsupported`] with serving state untouched. This
+    /// is the entry point network layers use — a malformed client frame
+    /// must never take the engine down.
     ///
     /// Core numbers are maintained *incrementally* by a
     /// [`ic_kcore::CoreMaintainer`] (subcore traversal —
@@ -747,35 +756,30 @@ impl Engine {
     /// bucket peel never runs again. Vertex weights and the vertex set
     /// are fixed; updates address existing vertex ids.
     ///
+    /// Beyond journaling, this path *repairs* the old snapshot's
+    /// memoized [`ExtremumIndex`](ic_core::algo::ExtremumIndex) forests
+    /// into the new snapshot where the cascade's touched region is small
+    /// ([`ExtremumIndex::repair`](ic_core::algo::ExtremumIndex::repair)):
+    /// the repaired forest is bit-identical to a from-scratch rebuild,
+    /// so index-served `min`/`max` refreshes after an update stop paying
+    /// O(graph). Oversized regions fall back to the lazy rebuild, so the
+    /// staleness guarantee (never serve pre-update structure) holds
+    /// either way.
+    ///
     /// Concurrency: updates serialize among themselves; queries never
     /// block. In-flight batches and streams finish on the snapshot they
-    /// started with; queries submitted after `apply` returns see the new
-    /// graph. Epoch-tagged result-cache entries from older epochs stop
-    /// being served (and are evicted lazily).
+    /// started with; queries submitted after the apply returns see the
+    /// new graph. Epoch-tagged result-cache entries from older epochs
+    /// stop being served (and are evicted lazily).
     ///
     /// # Panics
-    /// Panics when an update addresses a vertex outside the graph. The
-    /// panic is **atomic**: serving state is untouched (the engine keeps
-    /// answering on the pre-`apply` snapshot under the old epoch), the
+    /// A panic while the new snapshot is built (only an injected
+    /// `engine::apply` failpoint or a bug can cause one) propagates,
+    /// but **atomically**: serving state is untouched (the engine keeps
+    /// answering on the pre-apply snapshot under the old epoch), the
     /// maintainer mutex is left clean — not poisoned — and the next
-    /// `apply` reseeds the maintainer from the serving graph, discarding
+    /// apply reseeds the maintainer from the serving graph, discarding
     /// any half-applied update.
-    pub fn apply(&self, updates: &[EdgeUpdate]) -> Epoch {
-        self.apply_journaled(updates).epoch
-    }
-
-    /// [`Engine::apply`] with a typed refusal instead of a panic: every
-    /// update's endpoints are validated against the serving vertex set
-    /// first, and an out-of-range id returns
-    /// [`EngineError::Unsupported`] with serving state untouched. This
-    /// is the entry point network layers use — a malformed client frame
-    /// must never take the engine down.
-    pub fn try_apply(&self, updates: &[EdgeUpdate]) -> Result<Epoch, EngineError> {
-        Ok(self.try_apply_journaled(updates)?.epoch)
-    }
-
-    /// [`Engine::apply_journaled`] behind the same endpoint validation
-    /// as [`Engine::try_apply`].
     pub fn try_apply_journaled(&self, updates: &[EdgeUpdate]) -> Result<ApplyOutcome, EngineError> {
         let n = self.snapshot().graph().num_vertices();
         for update in updates {
@@ -789,27 +793,6 @@ impl Engine {
                 });
             }
         }
-        Ok(self.apply_journaled(updates))
-    }
-
-    /// [`Engine::apply`], additionally returning the cascade journal and
-    /// both snapshot handles (see [`ApplyOutcome`]).
-    ///
-    /// Beyond journaling, this path *repairs* the old snapshot's
-    /// memoized [`ExtremumIndex`](ic_core::algo::ExtremumIndex) forests
-    /// into the new snapshot where the cascade's touched region is small
-    /// ([`ExtremumIndex::repair`](ic_core::algo::ExtremumIndex::repair)):
-    /// the repaired forest is bit-identical to a from-scratch rebuild,
-    /// so index-served `min`/`max` refreshes after an update stop paying
-    /// O(graph). Oversized regions fall back to the lazy rebuild, so the
-    /// staleness guarantee (never serve pre-update structure) holds
-    /// either way.
-    ///
-    /// # Panics
-    /// Same contract as [`Engine::apply`]: panics (atomically) when an
-    /// update addresses a vertex outside the graph. Use
-    /// [`Engine::try_apply_journaled`] for a typed refusal.
-    pub fn apply_journaled(&self, updates: &[EdgeUpdate]) -> ApplyOutcome {
         // Recover rather than propagate a poisoned mutex: the slot is
         // `Option<CoreMaintainer>` and an interrupted apply leaves it
         // `None` (see below), so the recovered value is always either
@@ -894,7 +877,7 @@ impl Engine {
             m.index_rebuilt.add(forests.1);
             apply_sw.observe(&m.apply_ns);
         };
-        match built {
+        Ok(match built {
             Ok((maintainer, records, touched_count, forests, None)) => {
                 *guard = Some(maintainer);
                 note_apply(&records, touched_count, forests);
@@ -927,104 +910,7 @@ impl Engine {
                 }
             }
             Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    fn execute_with<F>(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: Option<&ic_obs::Trace>,
-        mut deliver: F,
-    ) -> Epoch
-    where
-        F: FnMut(usize, cache::Outcome),
-    {
-        let (snapshot, arenas, epoch) = self.serving();
-        // Deadlines measure from the options' anchor when one is set
-        // (admission-anchored serving layers), from serve start
-        // otherwise.
-        let anchor = options.anchor.unwrap_or_else(std::time::Instant::now);
-        // Fold the batch-wide deadline into each query (the tighter of
-        // the two wins) *before* planning, so job dedup and family
-        // merging see the effective deadlines.
-        let effective: std::borrow::Cow<'_, [Query]> = match options.deadline {
-            None => std::borrow::Cow::Borrowed(queries),
-            Some(batch_d) => std::borrow::Cow::Owned(
-                queries
-                    .iter()
-                    .map(|q| {
-                        let mut q = *q;
-                        q.deadline = Some(q.deadline.map_or(batch_d, |d| d.min(batch_d)));
-                        q
-                    })
-                    .collect(),
-            ),
-        };
-        let plan_sw = ic_obs::Stopwatch::start();
-        let plan = Plan::build(
-            &snapshot,
-            &effective,
-            self.threads,
-            Some((&self.results, epoch)),
-        );
-        let m = &self.metrics;
-        plan_sw.observe(&m.plan_ns);
-        m.batches.inc();
-        m.queries.add(plan.stats.total_queries as u64);
-        m.cache_hits.add(plan.stats.cache_hits as u64);
-        m.index_routed.add(plan.stats.index_routed as u64);
-        m.solver_runs.add(plan.stats.solver_runs as u64);
-        m.answered_at_plan.add(plan.stats.answered_at_plan as u64);
-        if let Some(trace) = trace {
-            plan_sw.record(trace, ic_obs::Stage::Plan);
-            trace.note_plan(ic_obs::TracePlan {
-                queries: plan.stats.total_queries as u64,
-                answered_at_plan: plan.stats.answered_at_plan as u64,
-                cache_hits: plan.stats.cache_hits as u64,
-                solver_runs: plan.stats.solver_runs as u64,
-                index_routed: plan.stats.index_routed as u64,
-            });
-            if plan.stats.solver_runs < plan.stats.sequential_runs {
-                trace.tag(ic_obs::Tag::FamilyMerged);
-            }
-        }
-        let solve_sw = ic_obs::Stopwatch::start();
-        exec::execute(
-            &snapshot,
-            &arenas,
-            self.threads,
-            anchor,
-            plan,
-            trace,
-            |idx, outcome| {
-                if let Some(trace) = trace {
-                    match outcome.as_ref() {
-                        Ok(ans) => {
-                            if !matches!(ans.status, AnswerStatus::Complete) {
-                                trace.tag(ic_obs::Tag::Degraded);
-                            }
-                        }
-                        Err(EngineError::DeadlineExceeded) => {
-                            trace.tag(ic_obs::Tag::DeadlineExceeded);
-                        }
-                        Err(_) => {}
-                    }
-                }
-                // Only complete answers are retained (the insert filters).
-                self.results.insert(&effective[idx], epoch, &outcome);
-                deliver(idx, outcome);
-            },
-        );
-        if let Some(trace) = trace {
-            solve_sw.record(trace, ic_obs::Stage::Solve);
-        }
-        solve_sw.observe(&m.solve_ns);
-        m.cached_results.set(self.results.len() as i64);
-        m.arenas_available.set(arenas.available() as i64);
-        m.arenas_quarantined.set(arenas.quarantined() as i64);
-        m.epoch.set(epoch.0 as i64);
-        epoch
+        })
     }
 }
 
@@ -1237,23 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_delivers_every_query_exactly_once() {
-        let eng = engine(3);
-        let batch = vec![
-            Query::new(2, 1, Aggregation::Min),
-            Query::new(2, 2, Aggregation::Max),
-            Query::new(9, 1, Aggregation::Min), // empty at plan time
-            Query::new(2, 0, Aggregation::Min), // immediate error
-            Query::new(2, 2, Aggregation::Sum).size_bound(4, true),
-        ];
-        let mut seen = vec![0usize; batch.len()];
-        eng.for_each_result(&batch, |idx, _res| {
-            seen[idx] += 1;
-        });
-        assert_eq!(seen, vec![1; batch.len()]);
-    }
-
-    #[test]
     fn arenas_are_reused_across_batches() {
         let eng = engine(2);
         let batch = vec![
@@ -1414,7 +1283,8 @@ mod tests {
         // Serving warmed the snapshot: persist captures level + forests.
         eng.persist(&path).unwrap();
 
-        let reopened = Engine::open_with_threads(&path, 2).unwrap();
+        let reopened =
+            Engine::open_with_options(&path, &OpenOptions::default().threads(2)).unwrap();
         // The persisted forests landed in the fresh snapshot's caches...
         assert!(reopened.snapshot().cached_extensions() >= 2);
         assert!(reopened.snapshot().cached_levels() >= 1);
@@ -1473,7 +1343,7 @@ mod tests {
         assert_eq!(eng.plan(&[q]).stats.cache_hits, 1);
 
         // Cut the figure-1 graph: v3's ties into the 2-core.
-        let epoch = eng.apply(&[EdgeUpdate::Remove { u: 2, v: 8 }]);
+        let epoch = eng.try_apply(&[EdgeUpdate::Remove { u: 2, v: 8 }]).unwrap();
         assert!(epoch > before_epoch);
         assert_eq!(eng.epoch(), epoch);
         assert_eq!(
@@ -1495,20 +1365,24 @@ mod tests {
         let eng = engine(2);
         let e0 = eng.epoch();
         // Edge already present + edge already absent = no change.
-        let e1 = eng.apply(&[
-            EdgeUpdate::Insert { u: 0, v: 1 },
-            EdgeUpdate::Remove { u: 0, v: 9 },
-        ]);
+        let e1 = eng
+            .try_apply(&[
+                EdgeUpdate::Insert { u: 0, v: 1 },
+                EdgeUpdate::Remove { u: 0, v: 9 },
+            ])
+            .unwrap();
         assert_eq!(e0, e1);
     }
 
     #[test]
     fn apply_journaled_reports_the_cascade_and_both_snapshots() {
         let eng = engine(2);
-        let outcome = eng.apply_journaled(&[
-            EdgeUpdate::Remove { u: 2, v: 8 },
-            EdgeUpdate::Remove { u: 2, v: 8 }, // now absent: a no-op
-        ]);
+        let outcome = eng
+            .try_apply_journaled(&[
+                EdgeUpdate::Remove { u: 2, v: 8 },
+                EdgeUpdate::Remove { u: 2, v: 8 }, // now absent: a no-op
+            ])
+            .unwrap();
         assert!(outcome.changed);
         assert_eq!(outcome.epoch, eng.epoch());
         assert_eq!(outcome.records.len(), 2);
@@ -1522,7 +1396,9 @@ mod tests {
         );
 
         // A pure no-op batch reports unchanged and one shared snapshot.
-        let outcome = eng.apply_journaled(&[EdgeUpdate::Remove { u: 2, v: 8 }]);
+        let outcome = eng
+            .try_apply_journaled(&[EdgeUpdate::Remove { u: 2, v: 8 }])
+            .unwrap();
         assert!(!outcome.changed);
         assert!(Arc::ptr_eq(&outcome.old_snapshot, &outcome.new_snapshot));
     }
@@ -1567,7 +1443,9 @@ mod tests {
         assert_eq!(eng.snapshot().cached_extensions(), 2, "forests warmed");
 
         // Bridge the first two triangles: the cascade is local to them.
-        let outcome = eng.apply_journaled(&[EdgeUpdate::Insert { u: 0, v: 3 }]);
+        let outcome = eng
+            .try_apply_journaled(&[EdgeUpdate::Insert { u: 0, v: 3 }])
+            .unwrap();
         assert!(outcome.changed);
         // The small cascade let both forests ride across the epoch...
         assert_eq!(
@@ -1593,7 +1471,7 @@ mod tests {
         let stream = eng.submit(q).unwrap();
         // Mutate mid-stream: the already-open stream must still answer
         // on the snapshot it was submitted against.
-        eng.apply(&[EdgeUpdate::Remove { u: 4, v: 6 }]);
+        eng.try_apply(&[EdgeUpdate::Remove { u: 4, v: 6 }]).unwrap();
         let got: Vec<_> = stream.collect();
         assert_eq!(got, expect, "stream must be isolated from apply");
     }
@@ -1624,7 +1502,7 @@ mod tests {
             .iter()
             .map(|q| q.deadline(std::time::Duration::ZERO))
             .collect();
-        let got = eng.run_batch_with(&armed, &BatchOptions::default());
+        let got = eng.run_batch_pinned(&armed, &BatchOptions::default()).1;
         for ((q, res), want) in base.iter().zip(&got).zip(&full) {
             match res {
                 // Nothing proven before the (already expired) deadline.
@@ -1663,7 +1541,7 @@ mod tests {
         eng.clear_result_cache();
         let hour = std::time::Duration::from_secs(3600);
         let armed: Vec<Query> = base.iter().map(|q| q.deadline(hour)).collect();
-        let got = eng.run_batch_with(&armed, &BatchOptions::default());
+        let got = eng.run_batch_pinned(&armed, &BatchOptions::default()).1;
         for ((q, want), got) in base.iter().zip(&want).zip(&got) {
             let ans = got.as_ref().unwrap();
             assert!(ans.is_complete(), "{q:?}: loose deadline must complete");
@@ -1685,7 +1563,7 @@ mod tests {
             Query::new(2, 3, Aggregation::Sum),
         ];
         let options = BatchOptions::default().deadline(std::time::Duration::ZERO);
-        let got = eng.run_batch_with(&batch, &options);
+        let got = eng.run_batch_pinned(&batch, &options).1;
         for (q, res) in batch.iter().zip(&got) {
             match res {
                 Err(EngineError::DeadlineExceeded) => {}
@@ -1700,7 +1578,7 @@ mod tests {
         let options = BatchOptions::default().deadline(std::time::Duration::from_secs(3600));
         assert!(
             !matches!(
-                &eng.run_batch_with(&armed, &options)[0],
+                &eng.run_batch_pinned(&armed, &options).1[0],
                 Ok(ans) if ans.is_complete()
             ),
             "per-query zero deadline must win over a loose batch deadline"
@@ -1713,7 +1591,7 @@ mod tests {
         let q = Query::new(2, 3, Aggregation::Sum).deadline(std::time::Duration::from_millis(100));
 
         // Unanchored, the 100ms budget is generous: the query completes.
-        let got = eng.run_batch_with(&[q], &BatchOptions::default());
+        let got = eng.run_batch_pinned(&[q], &BatchOptions::default()).1;
         assert!(
             got[0].as_ref().unwrap().is_complete(),
             "without queue wait the budget is ample"
@@ -1729,7 +1607,7 @@ mod tests {
             return; // clock too close to boot to represent the wait
         };
         let opts = BatchOptions::default().deadline_from(admission);
-        let got = eng.run_batch_with(&[q], &opts);
+        let got = eng.run_batch_pinned(&[q], &opts).1;
         match &got[0] {
             Err(EngineError::DeadlineExceeded) => {}
             Ok(ans) => assert!(
@@ -1745,7 +1623,7 @@ mod tests {
         let opts = BatchOptions::default()
             .deadline(std::time::Duration::from_millis(100))
             .deadline_from(admission);
-        let got = eng.run_batch_with(&[plain], &opts);
+        let got = eng.run_batch_pinned(&[plain], &opts).1;
         assert!(
             !matches!(&got[0], Ok(ans) if ans.is_complete()),
             "batch deadline measured from the admission anchor"
@@ -1759,7 +1637,7 @@ mod tests {
         let (epoch, results) = eng.run_batch_pinned(&[q], &BatchOptions::default());
         assert_eq!(epoch, eng.epoch());
         assert!(results[0].is_ok());
-        let moved = eng.apply(&[EdgeUpdate::Remove { u: 2, v: 8 }]);
+        let moved = eng.try_apply(&[EdgeUpdate::Remove { u: 2, v: 8 }]).unwrap();
         let (epoch2, _) = eng.run_batch_pinned(&[q], &BatchOptions::default());
         assert_eq!(epoch2, moved, "post-apply batches pin the new epoch");
         assert!(epoch2 > epoch);
@@ -1776,34 +1654,7 @@ mod tests {
         // (deadline is part of the job identity, not the cache key), and
         // a complete armed answer is served bit-identically.
         let armed = [q.deadline(std::time::Duration::from_secs(3600))];
-        let got = eng.run_batch_with(&armed, &BatchOptions::default());
+        let got = eng.run_batch_pinned(&armed, &BatchOptions::default()).1;
         assert_eq!(got[0].as_ref().unwrap().communities, want);
-    }
-
-    #[test]
-    fn apply_panic_is_atomic_and_recoverable() {
-        let eng = engine(2);
-        let q = Query::new(2, 2, Aggregation::Min);
-        let before = eng.run_batch(&[q])[0].clone().unwrap();
-        let e0 = eng.epoch();
-
-        // An update addressing a vertex outside the graph panics...
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            eng.apply(&[EdgeUpdate::Insert { u: 0, v: 9_999 }]);
-        }));
-        assert!(panicked.is_err(), "out-of-range vertex must panic");
-
-        // ...atomically: serving state is untouched and keeps answering.
-        assert_eq!(eng.epoch(), e0, "failed apply must not move the epoch");
-        eng.clear_result_cache();
-        assert_eq!(eng.run_batch(&[q])[0].clone().unwrap(), before);
-
-        // The engine is not wedged: the next (valid) apply succeeds and
-        // the post-update answers match a from-scratch engine exactly.
-        let e1 = eng.apply(&[EdgeUpdate::Remove { u: 2, v: 8 }]);
-        assert!(e1 > e0, "post-panic apply must advance the epoch");
-        let after = eng.run_batch(&[q])[0].clone().unwrap();
-        let fresh = Engine::with_threads(eng.snapshot().weighted().clone(), eng.threads());
-        assert_eq!(&after, fresh.run_batch(&[q])[0].as_ref().unwrap());
     }
 }

@@ -5,7 +5,7 @@
 //! submitted against, an `Arc` of that epoch's arena pool, and (for the
 //! live solver paths) a peel arena taken from the pool — so it has no
 //! lifetime ties to the engine and survives a concurrent
-//! [`Engine::apply`](crate::Engine::apply) untouched (snapshot
+//! [`Engine::try_apply`](crate::Engine::try_apply) untouched (snapshot
 //! isolation). Dropping the stream abandons whatever work remains and
 //! hands the arena back to the pool: cancellation is free and
 //! allocation-free in steady state.

@@ -3,7 +3,7 @@ use ic_graph::{graph_from_edges, Graph, VertexId};
 use std::collections::VecDeque;
 
 /// One topology change for [`CoreMaintainer::apply`] (and the engine's
-/// `Engine::apply`). The vertex set is fixed — updates address existing
+/// `Engine::try_apply`). The vertex set is fixed — updates address existing
 /// vertex ids only. `#[non_exhaustive]`: match with a wildcard arm
 /// outside `ic-kcore`.
 #[non_exhaustive]

@@ -242,7 +242,8 @@ fn build_engine(args: &Args) -> Result<Backend, String> {
             .unwrap_or(1)
     });
     if let Some(store) = &args.store {
-        let engine = Engine::open_with_threads(store, threads)
+        let options = ic_engine::OpenOptions::default().threads(threads);
+        let engine = Engine::open_with_options(store, &options)
             .map_err(|e| format!("cannot open store {store}: {e}"))?;
         return Ok(Backend::Engine(Arc::new(engine)));
     }

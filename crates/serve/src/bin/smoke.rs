@@ -329,7 +329,7 @@ fn sub(addr: SocketAddr) {
             Response::UpdateAck { id, epoch, changed } if id == ack_id => (epoch, changed),
             other => panic!("round {round}: expected an UpdateAck, got {other:?}"),
         };
-        let mirror_epoch = mirror.apply(batch);
+        let mirror_epoch = mirror.try_apply(batch).unwrap();
         assert_eq!(
             server_epoch,
             mirror_epoch.index(),

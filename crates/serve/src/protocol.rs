@@ -16,7 +16,10 @@
 //! fixed-size records, responses carry whole vertex lists. A length
 //! prefix over the cap means the stream is garbage or hostile; it is a
 //! typed [`ProtocolError::FrameTooLarge`] and the connection closes
-//! (there is no way to resynchronize past an arbitrary prefix).
+//! (there is no way to resynchronize past an arbitrary prefix). The
+//! server therefore never writes such a frame: an answer too large for
+//! the cap goes out as a typed `unsupported` error reply for its id
+//! ([`encode_response_capped`]).
 //!
 //! All integers are little-endian; `f64`s travel as `to_bits()` so
 //! answers round-trip bit-exactly (the engine's conformance suite
@@ -294,7 +297,9 @@ pub struct WireNotification {
 // ---------------------------------------------------------------------
 // Framing
 
-/// Writes one `MAGIC + len + payload` frame.
+/// Writes one `MAGIC + len + payload` frame. Server replies are
+/// encoded with [`encode_response_capped`], so they never exceed
+/// [`RESP_PAYLOAD_MAX`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() <= RESP_PAYLOAD_MAX as usize);
     let mut head = [0u8; 5];
@@ -698,6 +703,39 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             }
         }
     }
+}
+
+/// [`encode_response`] for the wire: a reply or notification whose
+/// payload would exceed `max` bytes (the server passes
+/// [`RESP_PAYLOAD_MAX`]) is replaced by a [`Response::Reply`] for the
+/// same id and epoch carrying an [`ErrorKind::Unsupported`] outcome, so
+/// the client rejects that one answer and keeps the connection. Only
+/// these two frames carry vertex lists; every other frame is small.
+pub fn encode_response_capped(resp: &Response, out: &mut Vec<u8>, max: u32) {
+    let start = out.len();
+    encode_response(resp, out);
+    let len = out.len() - start;
+    let (id, epoch) = match resp {
+        Response::Reply { id, epoch, .. } => (*id, *epoch),
+        Response::Notify(n) => (n.id, n.epoch),
+        _ => return,
+    };
+    if len <= max as usize {
+        return;
+    }
+    out.truncate(start);
+    let refusal = Response::Reply {
+        id,
+        epoch,
+        outcome: Outcome::Error {
+            kind: ErrorKind::Unsupported,
+            message: format!(
+                "a {len}-byte answer exceeds the {max}-byte response frame cap; \
+                 ask for a smaller r"
+            ),
+        },
+    };
+    encode_response(&refusal, out);
 }
 
 /// Decodes one response frame payload.
@@ -1282,6 +1320,52 @@ mod tests {
         let mut buf = Vec::new();
         encode_response(resp, &mut buf);
         decode_response(&buf).unwrap()
+    }
+
+    #[test]
+    fn oversized_answers_encode_as_typed_error_replies() {
+        let communities = vec![Community {
+            vertices: (0..1000).collect(),
+            value: 2.5,
+        }];
+        let reply = Response::Reply {
+            id: 7,
+            epoch: 3,
+            outcome: Outcome::Complete(communities.clone()),
+        };
+        let notify = Response::Notify(WireNotification {
+            id: 9,
+            epoch: 4,
+            resync: false,
+            deltas: Vec::new(),
+            answer: communities,
+        });
+        let cap = 256u32;
+        for (resp, id, epoch) in [(&reply, 7, 3), (&notify, 9, 4)] {
+            // Under the cap the encoding is untouched.
+            let mut plain = Vec::new();
+            encode_response(resp, &mut plain);
+            let mut buf = Vec::new();
+            encode_response_capped(resp, &mut buf, plain.len() as u32);
+            assert_eq!(buf, plain);
+
+            // Over it, the same id gets a typed refusal that fits.
+            buf.clear();
+            encode_response_capped(resp, &mut buf, cap);
+            assert!(buf.len() <= cap as usize, "{} bytes", buf.len());
+            match decode_response(&buf).unwrap() {
+                Response::Reply {
+                    id: got_id,
+                    epoch: got_epoch,
+                    outcome: Outcome::Error { kind, message },
+                } => {
+                    assert_eq!((got_id, got_epoch), (id, epoch));
+                    assert_eq!(kind, ErrorKind::Unsupported);
+                    assert!(message.contains("frame cap"), "{message}");
+                }
+                other => panic!("expected a typed error reply, got {other:?}"),
+            }
+        }
     }
 
     #[test]

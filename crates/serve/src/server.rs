@@ -38,7 +38,7 @@
 //! **Epoch pinning** — a flush runs against one immutable snapshot and
 //! every reply is tagged with its [`Epoch`](ic_engine::Epoch) index, so
 //! a client holding several in-flight queries can tell exactly which
-//! graph version answered each one even while `Engine::apply` runs
+//! graph version answered each one even while `Engine::try_apply` runs
 //! concurrently.
 //!
 //! **Graceful drain** — a [`Request::Shutdown`] frame (or
@@ -54,7 +54,7 @@
 use crate::error::ProtocolError;
 use crate::protocol::{
     self, ErrorKind, Outcome, Request, Response, ShedReason, WireNotification, WireQuery, MAGIC,
-    REQ_PAYLOAD_MAX,
+    REQ_PAYLOAD_MAX, RESP_PAYLOAD_MAX,
 };
 use ic_core::Query;
 use ic_engine::{BatchOptions, EdgeUpdate, Engine, QueryBackend};
@@ -101,9 +101,9 @@ pub struct ServeConfig {
     /// beyond it has notifications shed and the next delivered one
     /// flagged as a resync. Clamped to at least 1.
     pub notify_capacity: usize,
-    /// End-to-end latency (earliest admission → last reply written)
-    /// above which a batch's trace lands in the slow-query log
-    /// ([`Server::slow_queries_json`]).
+    /// End-to-end latency (earliest admission → last reply handed to
+    /// its socket) above which a batch's trace lands in the slow-query
+    /// log ([`Server::slow_queries_json`]).
     pub slow_query_threshold: Duration,
 }
 
@@ -143,7 +143,7 @@ pub struct ServeStats {
 /// notification gate (if any) to rebalance once the message has left
 /// the process — written or abandoned, it is off the queue either way —
 /// and the batch track (if the message is a batch reply) whose last
-/// settled reply finalizes the batch's trace.
+/// reply settles the batch's metrics and trace before it is written.
 struct Outbound {
     response: Response,
     gate: Option<Arc<NotificationGate>>,
@@ -161,10 +161,12 @@ impl From<Response> for Outbound {
 }
 
 /// Per-batch trace state shared by every reply of one flush. Replies
-/// fan out to several connections' writer threads; whichever writes (or
-/// abandons) the last one closes the trace: it records the reply-write
-/// span, observes the end-to-end latency, and offers the trace to the
-/// slow-query log.
+/// fan out to several connections' writer threads; whichever takes up
+/// the last one settles the batch *before* writing it: it records the
+/// reply-write span, observes the end-to-end latency, and offers the
+/// trace to the slow-query log. Settling first means a client that has
+/// read every reply of a batch never sees `serve.batches` ahead of
+/// `serve.batch_ns` in a STATS snapshot.
 struct BatchTrack {
     trace: ic_obs::Trace,
     remaining: AtomicUsize,
@@ -179,9 +181,9 @@ struct BatchTrack {
 }
 
 impl BatchTrack {
-    /// Marks one reply settled (written or abandoned with its client);
-    /// the last one finalizes the trace.
-    fn reply_done(&self) {
+    /// Marks one reply as leaving (about to be written, or abandoned
+    /// with its client); the last one settles the batch.
+    fn reply_leaving(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
@@ -594,8 +596,8 @@ fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
             query
         })
         .collect();
-    let options = BatchOptions::new().deadline_from(anchor);
-    let (epoch, results) = shared.engine.run_batch_traced(&queries, &options, &trace);
+    let options = BatchOptions::new().deadline_from(anchor).traced(&trace);
+    let (epoch, results) = shared.engine.run_batch_pinned(&queries, &options);
     m.batches.inc();
     m.largest_batch.raise_to(batch.len() as i64);
     // Merge: engine answers → wire images, before the replies are
@@ -623,9 +625,10 @@ fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
             track: Some(Arc::clone(&track)),
         };
         // A send error means the client disconnected; the answer is
-        // simply dropped with it (but still settles the batch track).
+        // simply dropped with it (but still counts toward the batch
+        // track).
         if admitted.reply_to.send(outbound).is_err() {
-            track.reply_done();
+            track.reply_leaving();
         }
     }
 }
@@ -774,6 +777,12 @@ fn write_loop(
     let mut buf = Vec::new();
     let mut dead = false;
     for outbound in rx.iter() {
+        // A batch reply counts toward its track before the bytes leave;
+        // the batch's last reply (across all connections) settles its
+        // metrics and trace here.
+        if let Some(track) = &outbound.track {
+            track.reply_leaving();
+        }
         if !dead && write_response(&mut stream, mode, &outbound.response, &mut buf).is_err() {
             // The client stopped reading; kill the socket so the
             // reader sees EOF instead of serving a black hole, then
@@ -785,11 +794,6 @@ fn write_loop(
         // either way — its gate slot frees up.
         if let Some(gate) = &outbound.gate {
             gate.delivered();
-        }
-        // Likewise a batch reply settles its track; the batch's last
-        // reply (across all connections) finalizes the trace.
-        if let Some(track) = &outbound.track {
-            track.reply_done();
         }
     }
     if dead {
@@ -810,7 +814,7 @@ fn write_response(
     match mode {
         Mode::Binary => {
             buf.clear();
-            protocol::encode_response(response, buf);
+            protocol::encode_response_capped(response, buf, RESP_PAYLOAD_MAX);
             protocol::write_frame(stream, buf)?;
         }
         Mode::Json => {

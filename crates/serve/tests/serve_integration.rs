@@ -3,7 +3,7 @@
 //! across live graph updates, and the flush-before-ack drain ordering.
 
 use ic_core::{Aggregation, Community, Query};
-use ic_engine::{BatchOptions, EdgeUpdate, Engine};
+use ic_engine::{BatchOptions, EdgeUpdate, Engine, EngineError, Epoch, QueryAnswer, QueryBackend};
 use ic_serve::{Client, Outcome, Response, ServeConfig, Server, ShedReason};
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,7 +48,8 @@ fn multi_client_answers_are_bit_identical_to_solo_run_batch() {
     // Solo reference on its own engine (no shared cache effects).
     let reference: Vec<Vec<Community>> = {
         let solo = Engine::with_threads(wg.clone(), 2);
-        solo.run_batch_with(&queries, &BatchOptions::default())
+        solo.run_batch_pinned(&queries, &BatchOptions::default())
+            .1
             .into_iter()
             .map(|r| r.expect("reference query answers").communities)
             .collect()
@@ -138,7 +139,9 @@ fn replies_are_tagged_with_the_serving_epoch_across_updates() {
 
     // Live update: remove the v1–v2 edge; v1 (weight 62) drops out of
     // the 2-core, so the top sum community changes.
-    let epoch = engine.apply(&[EdgeUpdate::Remove { u: 0, v: 1 }]);
+    let epoch = engine
+        .try_apply(&[EdgeUpdate::Remove { u: 0, v: 1 }])
+        .unwrap();
     assert_eq!(epoch.index(), 1);
 
     let after = client.call(2, &query).unwrap();
@@ -664,8 +667,8 @@ fn slow_query_log_stage_spans_account_for_client_latency() {
     let observed_ns = t0.elapsed().as_nanos() as u64;
     let _ = reply_communities(&response);
 
-    // The trace finalizes on the writer thread after the reply hits the
-    // socket, so the log may trail the client's read by a beat.
+    // The trace settles on the writer thread just before the last
+    // reply is written; the poll tolerates a log that trails the read.
     let mut log = String::new();
     for _ in 0..200 {
         log = server.slow_queries_json();
@@ -696,6 +699,56 @@ fn slow_query_log_stage_spans_account_for_client_latency() {
     // The 250 ms window pushed end-to-end latency far past the 1 ms
     // threshold, and the plan saw exactly the one query.
     assert!(json_field_u64(line, "total_ns") >= 1_000_000, "{line}");
+    assert_eq!(json_field_u64(line, "queries"), 1, "{line}");
+
+    server.shutdown();
+    server.join();
+}
+
+/// A backend wrapper that knows nothing about tracing still gets the
+/// engine's stage spans into the server's batch trace: the trace rides
+/// in the `BatchOptions` the wrapper forwards unchanged.
+#[test]
+fn forwarding_backend_wrappers_keep_the_engine_stage_spans() {
+    struct Forward(Engine);
+    impl QueryBackend for Forward {
+        fn run_batch_pinned(
+            &self,
+            queries: &[Query],
+            options: &BatchOptions,
+        ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
+            self.0.run_batch_pinned(queries, options)
+        }
+    }
+
+    let backend = Arc::new(Forward(Engine::with_threads(email_graph(), 2)));
+    let server = Server::bind_backend(
+        backend,
+        "127.0.0.1:0",
+        ServeConfig {
+            slow_query_threshold: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let response = client.call(1, &Query::new(4, 2, Aggregation::Sum)).unwrap();
+    let _ = reply_communities(&response);
+
+    // The batch settled before its reply was written, so the log line
+    // is already there.
+    let log = server.slow_queries_json();
+    let lines: Vec<&str> = log.lines().collect();
+    assert_eq!(lines.len(), 1, "one batch, one log line; got {log:?}");
+    let line = lines[0];
+    assert!(
+        json_field_u64(line, "plan_ns") > 0,
+        "engine plan span: {line}"
+    );
+    assert!(
+        json_field_u64(line, "solve_ns") > 0,
+        "engine solve span: {line}"
+    );
     assert_eq!(json_field_u64(line, "queries"), 1, "{line}");
 
     server.shutdown();

@@ -313,39 +313,27 @@ impl ShardedEngine {
     /// Executes a batch across shards; the sharded equivalent of
     /// [`Engine::run_batch_pinned`]. Results align with the input
     /// order; the epoch is always the initial one (sharded serving is
-    /// read-only — there is no cross-shard `apply`).
+    /// read-only — there is no cross-shard apply).
+    ///
+    /// With [`BatchOptions::trace`] set, the scatter phase lands in the
+    /// `Solve` span (it is the sharded analogue of solver execution)
+    /// and the gather/merge loop in `Merge`; the options reach every
+    /// per-shard engine unchanged, so they add their own `Plan`,
+    /// `Solve`, and `IndexServe` spans to the same trace.
     pub fn run_batch_pinned(
         &self,
         queries: &[Query],
         options: &BatchOptions,
     ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.run_batch_inner(queries, options, None)
-    }
-
-    /// [`run_batch_pinned`](Self::run_batch_pinned) with a query trace:
-    /// the scatter phase lands in the `Solve` span (it is the sharded
-    /// analogue of solver execution) and the gather/merge loop in
-    /// `Merge`. Per-shard engines add their own `IndexServe` sub-spans
-    /// through [`Engine::run_batch_traced`].
-    pub fn run_batch_traced(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.run_batch_inner(queries, options, Some(trace))
-    }
-
-    fn run_batch_inner(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: Option<&ic_obs::Trace>,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
+        let trace = options.trace;
         self.metrics.batches.inc();
         let mut slots: Vec<Option<Result<QueryAnswer, EngineError>>> = vec![None; queries.len()];
         // Per shard: which query indices scatter to it.
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        // Per query: `(shard, position in that shard's batch)` for every
+        // shard it scatters to, in ascending shard order, so the gather
+        // reads each answer directly instead of searching for it.
+        let mut placements: Vec<Vec<(usize, usize)>> = vec![Vec::new(); queries.len()];
         for (qi, q) in queries.iter().enumerate() {
             match q.solver() {
                 Err(e) => {
@@ -378,16 +366,21 @@ impl ShardedEngine {
                     continue;
                 }
             }
-            let targets = self.route(q.k);
+            let mut targets = self.route(q.k);
             if targets.is_empty() {
                 // Every group's serving shard has an empty k-core: the
                 // global k-core is empty too.
                 slots[qi] = Some(Ok(QueryAnswer::complete(Vec::new())));
                 continue;
             }
-            for si in targets {
-                per_shard[si].push(qi);
-            }
+            targets.sort_unstable();
+            placements[qi] = targets
+                .into_iter()
+                .map(|si| {
+                    per_shard[si].push(qi);
+                    (si, per_shard[si].len() - 1)
+                })
+                .collect();
         }
 
         // Scatter: one engine batch per contributing shard, run
@@ -405,10 +398,7 @@ impl ShardedEngine {
                     let subset: Vec<Query> = qis.iter().map(|&qi| queries[qi]).collect();
                     (
                         si,
-                        scope.spawn(move || match trace {
-                            Some(t) => shard.engine.run_batch_traced(&subset, options, t).1,
-                            None => shard.engine.run_batch_pinned(&subset, options).1,
-                        }),
+                        scope.spawn(move || shard.engine.run_batch_pinned(&subset, options).1),
                     )
                 })
                 .collect();
@@ -434,10 +424,7 @@ impl ShardedEngine {
             let mut lists: Vec<Vec<Community>> = Vec::new();
             let mut degraded: Option<AnswerStatus> = None;
             let mut error: Option<EngineError> = None;
-            for (si, qis) in per_shard.iter().enumerate() {
-                let Some(pos) = qis.iter().position(|&i| i == qi) else {
-                    continue;
-                };
+            for &(si, pos) in &placements[qi] {
                 let res = &shard_results[si].as_ref().expect("shard batch ran")[pos];
                 match res {
                     Ok(ans) => {
@@ -506,15 +493,6 @@ impl QueryBackend for ShardedEngine {
         options: &BatchOptions,
     ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
         ShardedEngine::run_batch_pinned(self, queries, options)
-    }
-
-    fn run_batch_traced(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        ShardedEngine::run_batch_traced(self, queries, options, trace)
     }
 
     fn obs_registry(&self) -> Option<&ic_obs::Registry> {

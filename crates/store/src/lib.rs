@@ -42,7 +42,7 @@
 //! decomposition, levels, and forests seed the snapshot's memo caches,
 //! and the engine's planner serves exact-tie peel-extremum queries
 //! straight from the forest in output-sensitive time. After
-//! `Engine::apply` mutates the graph, the swapped-in snapshot starts
+//! `Engine::try_apply` mutates the graph, the swapped-in snapshot starts
 //! with empty caches under a new epoch — persisted state is *never*
 //! consulted across an update; it rebuilds lazily per level.
 //!

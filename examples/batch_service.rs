@@ -40,7 +40,8 @@ fn main() {
         wg.num_edges()
     );
 
-    let engine = Arc::new(Engine::new(wg.clone()));
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let engine = Arc::new(Engine::with_threads(wg.clone(), threads));
     let server = Server::bind(engine.clone(), "127.0.0.1:0", ServeConfig::default())
         .expect("bind an ephemeral loopback port");
     let addr = server.local_addr();

@@ -126,7 +126,8 @@ fn main() {
 
     // 3. Batched serving: the custom handle merges into r-families and
     //    lands in the epoch-tagged result cache like any built-in.
-    let engine = Engine::new(wg.clone());
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let engine = Engine::with_threads(wg.clone(), threads);
     let batch = [
         Query::new(4, 1, capped),
         Query::new(4, 5, capped), // shares one TIC run with the others

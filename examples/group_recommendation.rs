@@ -51,7 +51,8 @@ fn main() {
     // asked for a deep candidate list (r = 16) so the disjointness
     // filter below never runs dry; only as many candidates as the
     // slate needs are ever *consumed*.
-    let engine = Engine::new(wg.clone());
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let engine = Engine::with_threads(wg.clone(), threads);
     let query = Query::builder(4, 16, Aggregation::Average)
         .size_bound(12, true)
         .build()

@@ -22,7 +22,8 @@ fn main() {
     let k = 6;
 
     // --- 1. The engine serves min queries from its community forest --
-    let engine = Engine::new(wg.clone());
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let engine = Engine::with_threads(wg.clone(), threads);
     let sweep: Vec<Query> = [1usize, 5, 10, 20]
         .iter()
         .map(|&r| Query::new(k, r, Aggregation::Min))

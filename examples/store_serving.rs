@@ -41,7 +41,8 @@ fn main() {
     // ---- Lifetime 1: build, serve, persist ---------------------------
     let t = Instant::now();
     let wg = spec.generate_weighted();
-    let engine = Engine::new(wg);
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let engine = Engine::with_threads(wg, threads);
     let stats = engine.plan(&sweep).stats; // plan before serving: live stats
     let expect = engine.run_batch(&sweep);
     println!(
@@ -90,7 +91,9 @@ fn main() {
     // whose snapshot rebuilds its indexes lazily — persisted state is
     // never served across an update.
     let before = served.epoch();
-    let epoch = served.apply(&[ic_engine::EdgeUpdate::Remove { u: 0, v: 1 }]);
+    let epoch = served
+        .try_apply(&[ic_engine::EdgeUpdate::Remove { u: 0, v: 1 }])
+        .unwrap();
     if epoch > before {
         let post = served.run_batch(&[Query::new(k, 5, Aggregation::Min)]);
         println!(

@@ -11,7 +11,7 @@
 //! * one [`Engine`] owns the org graph and answers every aggregation's
 //!   retention plan from one shared snapshot (`run_batch`);
 //! * when the org changes — friendships dissolve, a new mentorship
-//!   forms — [`Engine::apply`] feeds the edge updates through the
+//!   forms — [`Engine::try_apply`] feeds the edge updates through the
 //!   incremental core maintainer and swaps in a new epoch, and the same
 //!   queries are simply re-submitted: no rebuild, no second engine.
 //!
@@ -113,7 +113,7 @@ fn main() {
         EdgeUpdate::Remove { u: 14, v: 17 },
         EdgeUpdate::Insert { u: 4, v: 25 },
     ];
-    let epoch = engine.apply(&updates);
+    let epoch = engine.try_apply(&updates).unwrap();
     println!(
         "\norg changed ({} updates) -> {}; same queries, new answers:",
         updates.len(),

@@ -21,7 +21,7 @@
 //! registry is process-wide).
 
 use ic_core::Aggregation;
-use ic_engine::{AnswerStatus, BatchOptions, EdgeUpdate, Engine, EngineError, Query};
+use ic_engine::{AnswerStatus, BatchOptions, EdgeUpdate, Engine, EngineError, OpenOptions, Query};
 use ic_fail::FailScenario;
 use ic_gen::{gnm, uniform_weights, GraphSeed};
 use ic_graph::WeightedGraph;
@@ -113,7 +113,7 @@ fn cascade_panic_is_isolated_and_arena_quarantined() {
     let eng = Engine::with_threads(wg.clone(), 3);
 
     ic_fail::cfg("kcore::cascade", "1*panic(chaos: torn cascade)").unwrap();
-    let got = eng.run_batch_with(&batch, &BatchOptions::default());
+    let got = eng.run_batch_pinned(&batch, &BatchOptions::default()).1;
     let mut internal = 0usize;
     for (i, res) in got.iter().enumerate() {
         match res {
@@ -149,7 +149,7 @@ fn tic_search_panic_is_isolated() {
     let eng = Engine::with_threads(wg.clone(), 2);
 
     ic_fail::cfg("core::tic_advance", "1*panic(chaos: tic mid-expand)").unwrap();
-    let got = eng.run_batch_with(&batch, &BatchOptions::default());
+    let got = eng.run_batch_pinned(&batch, &BatchOptions::default()).1;
     let mut internal = 0usize;
     for (i, res) in got.iter().enumerate() {
         match res {
@@ -188,7 +188,7 @@ fn local_chunk_panic_poisons_only_its_family() {
     let clean = solo_answers(&wg, &batch[..1], 3);
 
     ic_fail::cfg("engine::local_chunk", "1*panic(chaos: chunk died)").unwrap();
-    let got = eng.run_batch_with(&batch, &BatchOptions::default());
+    let got = eng.run_batch_pinned(&batch, &BatchOptions::default()).1;
     // A panicked chunk poisons its whole family exactly once: partial
     // seed coverage must never be merged and served as a full answer.
     match &got[1] {
@@ -225,7 +225,7 @@ fn cache_insert_panic_fails_closed_and_recovers() {
     // unwinds — the worst case for shared-state hygiene.
     ic_fail::cfg("engine::cache_insert", "1*panic(chaos: die in cache)").unwrap();
     let unwound = catch_unwind(AssertUnwindSafe(|| {
-        eng.run_batch_with(&batch, &BatchOptions::default())
+        eng.run_batch_pinned(&batch, &BatchOptions::default()).1
     }));
     assert!(unwound.is_err(), "the cache panic must unwind the caller");
 
@@ -257,7 +257,7 @@ fn apply_panic_via_failpoint_is_atomic() {
     };
 
     ic_fail::cfg("engine::apply", "panic(chaos: die mid-apply)").unwrap();
-    let unwound = catch_unwind(AssertUnwindSafe(|| eng.apply(&[update])));
+    let unwound = catch_unwind(AssertUnwindSafe(|| eng.try_apply(&[update]).unwrap()));
     assert!(unwound.is_err());
     assert_eq!(eng.epoch(), e0, "a panicked apply must not move the epoch");
     eng.clear_result_cache();
@@ -271,7 +271,7 @@ fn apply_panic_via_failpoint_is_atomic() {
     // slot reseeded; the mutex did not stay wedged) and answers match a
     // fresh engine on the mutated graph.
     ic_fail::remove("engine::apply");
-    let e1 = eng.apply(&[update]);
+    let e1 = eng.try_apply(&[update]).unwrap();
     assert!(e1 > e0, "post-chaos apply must advance the epoch");
     let after = eng.run_batch(&[q])[0].clone().unwrap();
     let fresh = Engine::with_threads(eng.snapshot().weighted().clone(), 2);
@@ -295,7 +295,8 @@ fn transient_store_reads_retry_and_corruption_fails_closed() {
     // retry loop absorbs them and the cold start still answers
     // bit-identically.
     ic_fail::cfg("store::read_io", "2*return(injected timeout)").unwrap();
-    let reopened = Engine::open_with_threads(&path, 2).expect("retry must absorb transients");
+    let reopened = Engine::open_with_options(&path, &OpenOptions::default().threads(2))
+        .expect("retry must absorb transients");
     assert_eq!(reopened.run_batch(&[q])[0].clone().unwrap(), want);
 
     // A *persistent* transient error exhausts the three attempts and
@@ -350,7 +351,7 @@ fn randomized_fault_sweep_preserves_engine_invariants() {
             1 => BatchOptions::default().deadline(std::time::Duration::from_secs(3600)),
             _ => BatchOptions::default().deadline(std::time::Duration::ZERO),
         };
-        let got = eng.run_batch_with(&batch, &options);
+        let got = eng.run_batch_pinned(&batch, &options).1;
         for (i, res) in got.iter().enumerate() {
             match res {
                 Ok(ans) => match ans.status {

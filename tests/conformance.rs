@@ -314,7 +314,7 @@ proptest! {
             .collect();
 
         let eng = engine(&wg, threads);
-        let got = eng.run_batch_with(&armed, &BatchOptions::default());
+        let got = eng.run_batch_pinned(&armed, &BatchOptions::default()).1;
         for (i, res) in got.iter().enumerate() {
             match res {
                 Ok(ans) => match ans.status {

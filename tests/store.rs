@@ -16,7 +16,7 @@
 
 use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum, Query};
-use ic_engine::Engine;
+use ic_engine::{Engine, OpenOptions};
 use ic_gen::{
     barabasi_albert, chung_lu, gnm, pareto_weights, planted_partition, rank_weights,
     uniform_weights, GraphSeed, PlantedPartitionConfig,
@@ -201,7 +201,7 @@ proptest! {
             if updates.is_empty() {
                 continue;
             }
-            opened.apply(&updates);
+            opened.try_apply(&updates).unwrap();
 
             // Ground truth: a fresh engine over the mutated graph.
             let mutated = opened.snapshot().weighted().clone();
@@ -295,7 +295,7 @@ fn persisted_indexes_are_not_served_across_apply() {
             EdgeUpdate::Insert { u: 1, v: 118 },
         ])
         .collect();
-    let epoch = opened.apply(&updates);
+    let epoch = opened.try_apply(&updates).unwrap();
     assert!(epoch.index() > 0, "edge set changed");
 
     // A fresh engine built from the mutated graph is the ground truth.
@@ -347,7 +347,8 @@ fn engine_persist_open_file_round_trip() {
     first.persist(&path).unwrap();
     drop(first); // "process" 1 exits
 
-    let second = Engine::open_with_threads(&path, 2).unwrap(); // "process" 2 cold start
+    // "process" 2 cold start
+    let second = Engine::open_with_options(&path, &OpenOptions::default().threads(2)).unwrap();
     let got = second.run_batch(&sweep);
     for ((q, x), y) in sweep.iter().zip(&expect).zip(&got) {
         assert_eq!(
